@@ -173,7 +173,9 @@ def _run_registered(sim, duration, until_complete, max_ns):
     set_active_simulator(sim)
     try:
         if until_complete:
-            sim.run_until_complete(max_ns=max_ns or 100 * duration)
+            if max_ns is None:
+                max_ns = 100 * duration
+            sim.run_until_complete(max_ns=max_ns)
             return sim.summary(sim.now_ns)
         sim.run(duration)
         return sim.summary(duration)

@@ -59,19 +59,16 @@ from time import perf_counter
 from ..topology.base import FlatTopology
 from .config import AdaptiveConfig, SimConfig, transmit_ns
 from .failures import FailurePlan, LinkFailureModel
-from .flows import Flow, FlowTracker
-from .metrics import BandwidthRecorder, RunSummary
+from .flows import Flow
+from .metrics import BandwidthRecorder
 from .queues import PiasDestQueue
-from .source import MaterializedFlowSource, StreamingFlowSource
+from .slotted import SlottedEngine
 
 
-class AdaptiveSimulator:
-    """Slice-driven demand-aware fabric over a finite set of flows.
+class AdaptiveSimulator(SlottedEngine):
+    """Slice-driven demand-aware fabric over a finite set of flows."""
 
-    ``stream=True`` consumes ``flows`` lazily from an arrival-ordered
-    iterator with a bounded-memory tracker, mirroring the other engines'
-    streaming mode.
-    """
+    _skipped_step_counter = "slices"
 
     def __init__(
         self,
@@ -85,48 +82,32 @@ class AdaptiveSimulator:
         stream: bool = False,
         tracer=None,
     ) -> None:
-        if topology.num_tors != config.num_tors:
-            raise ValueError("topology and config disagree on num_tors")
-        if topology.ports_per_tor != config.ports_per_tor:
-            raise ValueError("topology and config disagree on ports_per_tor")
-        self.config = config
-        self.topology = topology
         self.adaptive = adaptive or AdaptiveConfig()
+        self.slice_ns = self.adaptive.slice_ns(config.epoch, config.uplink_gbps)
+        core = config.resolved_core
+        super().__init__(
+            config,
+            topology,
+            flows,
+            self.slice_ns,
+            core=core,
+            fast_forward=core == "vectorized" and config.idle_fast_forward,
+            stream=stream,
+            tracer=tracer,
+            failure_model=failure_model,
+            failure_plan=failure_plan,
+        )
         if self.adaptive.residual_ports > config.ports_per_tor:
             raise ValueError(
                 "residual_ports cannot exceed ports_per_tor "
                 f"({self.adaptive.residual_ports} > {config.ports_per_tor})"
             )
-
         packet_bytes = (
             config.epoch.data_header_bytes + config.epoch.data_payload_bytes
         )
         self._tx_ns = transmit_ns(packet_bytes, config.uplink_gbps)
-        self.slice_ns = self.adaptive.slice_ns(config.epoch, config.uplink_gbps)
         self.payload_bytes = config.epoch.data_payload_bytes
         self.cycle_slots = topology.predefined_slots
-
-        self.failures = failure_model or LinkFailureModel(
-            config.num_tors, config.ports_per_tor
-        )
-        self._failure_events = (
-            failure_plan.sorted_events() if failure_plan is not None else []
-        )
-        self._next_failure_event = 0
-
-        self._stream = stream
-        if stream:
-            self.tracker = FlowTracker(
-                config.num_tors,
-                retain_flows=False,
-                mice_threshold_bytes=config.mice_threshold_bytes,
-                reservoir_seed=config.seed,
-            )
-            self._source = StreamingFlowSource(flows)
-        else:
-            self.tracker = FlowTracker(config.num_tors)
-            self._source = MaterializedFlowSource(flows)
-            self.tracker.register_all(self._source.flows)
 
         n = config.num_tors
         if config.priority_queue_enabled:
@@ -139,11 +120,6 @@ class AdaptiveSimulator:
         self._direct: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
         self._direct_pending = [0] * n
         self.bandwidth = bandwidth_recorder
-        self._tracer = tracer
-        self._slice = 0
-        self._vectorized = config.resolved_core == "vectorized"
-        self._ff_enabled = self._vectorized and config.idle_fast_forward
-        self._slices_fast_forwarded = 0
 
         # Demand estimation and the circuit schedule.
         self._est = [[0.0] * n for _ in range(n)]
@@ -182,20 +158,8 @@ class AdaptiveSimulator:
     # public accessors
     # ------------------------------------------------------------------
 
-    @property
-    def now_ns(self) -> float:
-        """Start time of the next slice."""
-        return self._slice * self.slice_ns
-
-    @property
-    def slices(self) -> int:
-        """Number of slices simulated so far."""
-        return self._slice
-
-    @property
-    def core_used(self) -> str:
-        """Which engine core this instance runs (internal switch)."""
-        return "vectorized" if self._vectorized else "scalar"
+    #: Number of slices simulated so far.
+    slices = SlottedEngine.step
 
     @property
     def total_queued_bytes(self) -> int:
@@ -242,94 +206,28 @@ class AdaptiveSimulator:
         return (port - cycle) % ports < self.adaptive.residual_ports
 
     # ------------------------------------------------------------------
-    # run loops
+    # fast-forward hooks (DESIGN.md section 7)
     # ------------------------------------------------------------------
 
-    def run(self, duration_ns: float) -> None:
-        """Simulate whole slices until ``duration_ns`` is covered.
+    fast_forwarded_slices = SlottedEngine.fast_forwarded_steps
 
-        Loop control is an exact integer slice budget (see the rotor
-        engine): the float duration converts once via :meth:`_slice_ceil`,
-        so long horizons cannot accumulate float drift.
+    def _is_idle(self) -> bool:
+        """An empty fabric that has never observed any demand.
+
+        Stricter than the rotor's condition: once any arrival lands, the
+        EWMA carries state between recomputes and slices are always
+        stepped.  Before that, every skipped recompute folds a zero window
+        onto a zero estimate and leaves the (empty) schedule untouched.
         """
-        if duration_ns <= 0:
-            raise ValueError("duration must be positive")
-        target_slice = self._slice_ceil(duration_ns)
-        while self._slice < target_slice:
-            self._maybe_fast_forward(target_slice)
-            if self._slice >= target_slice:
-                break
-            self.step_slice()
+        return not self._demand_seen and not any(self._direct_pending)
 
-    def run_until_complete(self, max_ns: float) -> bool:
-        """Simulate until every flow completes (or ``max_ns``)."""
-        if max_ns <= 0:
-            raise ValueError("max_ns must be positive")
-        limit_slice = self._slice_ceil(max_ns)
-        while (
-            self._source.next_arrival_ns is not None
-            or not self.tracker.all_complete
-        ):
-            if self._slice >= limit_slice:
-                return False
-            self._maybe_fast_forward(limit_slice)
-            if self._slice >= limit_slice:
-                return False
-            self.step_slice()
-        return True
-
-    @property
-    def fast_forwarded_slices(self) -> int:
-        """Idle slices the run loops skipped without stepping them."""
-        return self._slices_fast_forwarded
-
-    def _slice_ceil(self, time_ns: float) -> int:
-        """Smallest slice index whose start time is at or after ``time_ns``."""
-        slice_ns = self.slice_ns
-        index = math.ceil(time_ns / slice_ns)
-        while index > 0 and (index - 1) * slice_ns >= time_ns:
-            index -= 1
-        while index * slice_ns < time_ns:
-            index += 1
-        return index
-
-    def _maybe_fast_forward(self, limit_slice: int) -> None:
-        """Jump ``_slice`` over slices in which provably nothing happens.
-
-        Stricter than the rotor's condition: beyond an empty fabric and
-        quiescent failure detection, no demand may ever have been observed
-        — then every skipped recompute folds a zero window onto a zero
-        estimate and leaves the (empty) schedule untouched, so skipping
-        it is exact.  Once any arrival lands, the EWMA carries state
-        between recomputes and slices are always stepped.
-        """
-        if not self._ff_enabled or not self.failures.is_quiescent:
-            return
-        if self._demand_seen or any(self._direct_pending):
-            return
-        target = limit_slice
-        arrival = self._source.next_arrival_ns
-        if arrival is not None:
-            target = min(target, self._slice_ceil(arrival))
-        events = self._failure_events
-        if self._next_failure_event < len(events):
-            target = min(
-                target,
-                self._slice_ceil(events[self._next_failure_event].time_ns),
-            )
-        if target > self._slice:
-            skipped = target - self._slice
-            self._slices_fast_forwarded += skipped
-            # Preserve counter totals: each skipped slice would have
-            # counted one "slices" tick, and each skipped recompute
-            # boundary one identity recompute.
-            period = self.adaptive.recompute_slices
-            first = self._slice + (-self._slice % period)
-            if first < target:
-                self._recomputes += 1 + (target - 1 - first) // period
-            self._slice = target
-            if self._tracer is not None:
-                self._tracer.count("slices", skipped)
+    def _account_skipped(self, first: int, stop: int) -> None:
+        """Count each skipped recompute boundary as one identity recompute."""
+        super()._account_skipped(first, stop)
+        period = self.adaptive.recompute_slices
+        boundary = first + (-first % period)
+        if boundary < stop:
+            self._recomputes += 1 + (stop - 1 - boundary) // period
 
     # ------------------------------------------------------------------
     # one slice
@@ -337,7 +235,7 @@ class AdaptiveSimulator:
 
     def step_slice(self) -> None:
         """Simulate one slice across all ToRs and ports."""
-        slice_index = self._slice
+        slice_index = self._step
         start_ns = self.now_ns
         tracer = self._tracer
         if tracer is not None:
@@ -363,44 +261,28 @@ class AdaptiveSimulator:
         failures = self.failures
         check = failures.any_failed
         budget = self.adaptive.packets_per_slice
+        serve_direct = self._serve_direct
+        ports = range(self.config.ports_per_tor)
         skip_idle_tors = self._vectorized
         direct_pending = self._direct_pending
 
-        if tracer is None:
-            for tor in range(self.config.num_tors):
-                if skip_idle_tors and not direct_pending[tor]:
+        for tor in range(self.config.num_tors):
+            if skip_idle_tors and not direct_pending[tor]:
+                continue
+            for port in ports:
+                peer, offset = self._port_assignment(
+                    tor, port, cycle_slot, cycle, start_ns, budget, topology
+                )
+                if peer is None:
                     continue
-                for port in range(self.config.ports_per_tor):
-                    peer, offset = self._port_assignment(
-                        tor, port, cycle_slot, cycle,
-                        start_ns, budget, topology,
-                    )
-                    if peer is None:
-                        continue
-                    if check and not failures.transmission_ok(
-                        tor, port, peer, port
-                    ):
-                        continue
-                    self._serve_direct(tor, peer, start_ns, offset, budget)
-        else:
-            for tor in range(self.config.num_tors):
-                if skip_idle_tors and not direct_pending[tor]:
+                if check and not failures.transmission_ok(
+                    tor, port, peer, port
+                ):
                     continue
-                for port in range(self.config.ports_per_tor):
-                    peer, offset = self._port_assignment(
-                        tor, port, cycle_slot, cycle,
-                        start_ns, budget, topology,
-                    )
-                    if peer is None:
-                        continue
-                    if check and not failures.transmission_ok(
-                        tor, port, peer, port
-                    ):
-                        continue
+                if tracer is not None:
                     t0 = perf_counter()
-                    sent = self._serve_direct(
-                        tor, peer, start_ns, offset, budget
-                    )
+                sent = serve_direct(tor, peer, start_ns, offset, budget)
+                if tracer is not None:
                     tracer.add_span("drain", perf_counter() - t0)
                     key = (
                         "residual_packets"
@@ -409,7 +291,7 @@ class AdaptiveSimulator:
                     )
                     tracer.count(key, sent)
         self.tracker.flush_completions()
-        self._slice += 1
+        self._step += 1
         if tracer is not None:
             tracer.count("slices")
             if tracer.gauge_due(int(self.now_ns)):
@@ -423,6 +305,8 @@ class AdaptiveSimulator:
                         if peer is not None
                     ),
                 )
+
+    _step_once = step_slice
 
     def _port_assignment(
         self,
@@ -588,27 +472,19 @@ class AdaptiveSimulator:
     # arrivals
     # ------------------------------------------------------------------
 
-    def _inject_arrivals(self, before_ns: float) -> None:
-        source = self._source
-        arrival = source.next_arrival_ns
-        register = self.tracker.register if self._stream else None
-        while arrival is not None and arrival <= before_ns:
-            flow = source.pop()
-            if register is not None:
-                register(flow)
-            queue = self._direct[flow.src].get(flow.dst)
-            if queue is None:
-                queue = PiasDestQueue(
-                    self._band_limits, enabled=bool(self._band_limits)
-                )
-                self._direct[flow.src][flow.dst] = queue
-            queue.enqueue_flow(flow)
-            self._direct_pending[flow.src] += flow.size_bytes
-            # The demand observation the next recompute folds in.
-            self._window[flow.src][flow.dst] += flow.size_bytes
-            self._window_bytes += flow.size_bytes
-            self._demand_seen = True
-            arrival = source.next_arrival_ns
+    def _enqueue_flow(self, flow: Flow) -> None:
+        queue = self._direct[flow.src].get(flow.dst)
+        if queue is None:
+            queue = PiasDestQueue(
+                self._band_limits, enabled=bool(self._band_limits)
+            )
+            self._direct[flow.src][flow.dst] = queue
+        queue.enqueue_flow(flow)
+        self._direct_pending[flow.src] += flow.size_bytes
+        # The demand observation the next recompute folds in.
+        self._window[flow.src][flow.dst] += flow.size_bytes
+        self._window_bytes += flow.size_bytes
+        self._demand_seen = True
 
     # ------------------------------------------------------------------
     # serving
@@ -641,39 +517,3 @@ class AdaptiveSimulator:
         )
         self._direct_pending[tor] -= sent
         return used
-
-    # ------------------------------------------------------------------
-    # failures
-    # ------------------------------------------------------------------
-
-    def _apply_failure_events(self, now_ns: float) -> None:
-        events = self._failure_events
-        while (
-            self._next_failure_event < len(events)
-            and events[self._next_failure_event].time_ns <= now_ns
-        ):
-            self.failures.apply(events[self._next_failure_event])
-            self._next_failure_event += 1
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-
-    def summary(self, duration_ns: float | None = None) -> RunSummary:
-        """Headline metrics over ``duration_ns`` (default: simulated time)."""
-        duration = duration_ns if duration_ns is not None else self.now_ns
-        mice_p99, mice_mean = self.tracker.mice_fct_summary(
-            self.config.mice_threshold_bytes
-        )
-        return RunSummary(
-            duration_ns=duration,
-            epoch_ns=None,
-            num_flows=self._source.popped,
-            num_completed=self.tracker.num_completed,
-            goodput_normalized=self.tracker.goodput_normalized(
-                duration, self.config.host_aggregate_gbps
-            ),
-            goodput_gbps=self.tracker.goodput_gbps(duration),
-            mice_fct_p99_ns=mice_p99,
-            mice_fct_mean_ns=mice_mean,
-        )

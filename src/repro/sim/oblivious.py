@@ -35,19 +35,16 @@ from time import perf_counter
 
 from ..topology.base import FlatTopology
 from .config import SimConfig, transmit_ns
-from .flows import Flow, FlowTracker
-from .metrics import BandwidthRecorder, RunSummary
+from .flows import Flow
+from .metrics import BandwidthRecorder
 from .queues import PiasDestQueue
-from .source import MaterializedFlowSource, StreamingFlowSource
+from .slotted import SlottedEngine
 
 
-class ObliviousSimulator:
-    """Slot-driven rotor + VLB simulator over a finite set of flows.
+class ObliviousSimulator(SlottedEngine):
+    """Slot-driven rotor + VLB simulator over a finite set of flows."""
 
-    ``stream=True`` consumes ``flows`` lazily from an arrival-ordered
-    iterator with a bounded-memory tracker, mirroring
-    :class:`~repro.sim.network.NegotiaToRSimulator`'s streaming mode.
-    """
+    _skipped_step_counter = "slots"
 
     def __init__(
         self,
@@ -58,36 +55,31 @@ class ObliviousSimulator:
         stream: bool = False,
         tracer=None,
     ) -> None:
-        if topology.num_tors != config.num_tors:
-            raise ValueError("topology and config disagree on num_tors")
-        if topology.ports_per_tor != config.ports_per_tor:
-            raise ValueError("topology and config disagree on ports_per_tor")
-        self.config = config
-        self.topology = topology
-        self._rng = random.Random(config.seed + 0x0B11)
-
         packet_bytes = (
             config.epoch.data_header_bytes + config.epoch.data_payload_bytes
         )
         self.slot_ns = config.epoch.guard_ns + transmit_ns(
             packet_bytes, config.uplink_gbps
         )
+        # Vectorized core (DESIGN.md section 15): skip ToRs with no staged
+        # or relayed bytes inside a slot, and jump whole idle slots.  Both
+        # are exact — a skipped ToR provably sends nothing, and a skipped
+        # slot provably changes no state (oblivious fabrics have no failure
+        # events and draw randomness only at injection).
+        core = config.resolved_core
+        super().__init__(
+            config,
+            topology,
+            flows,
+            self.slot_ns,
+            core=core,
+            fast_forward=core == "vectorized" and config.idle_fast_forward,
+            stream=stream,
+            tracer=tracer,
+        )
+        self._rng = random.Random(config.seed + 0x0B11)
         self.payload_bytes = config.epoch.data_payload_bytes
         self.cycle_slots = topology.predefined_slots
-
-        self._stream = stream
-        if stream:
-            self.tracker = FlowTracker(
-                config.num_tors,
-                retain_flows=False,
-                mice_threshold_bytes=config.mice_threshold_bytes,
-                reservoir_seed=config.seed,
-            )
-            self._source = StreamingFlowSource(flows)
-        else:
-            self.tracker = FlowTracker(config.num_tors)
-            self._source = MaterializedFlowSource(flows)
-            self.tracker.register_all(self._source.flows)
 
         n = config.num_tors
         # Per (source, intermediate) VLB stage queues with PIAS bands: a
@@ -98,19 +90,6 @@ class ObliviousSimulator:
         self._relay: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
         self._relay_pending = [0] * n
         self.bandwidth = bandwidth_recorder
-        # Observational telemetry hooks (DESIGN.md section 14); None keeps
-        # the slot loop branch-free beyond one check.
-        self._tracer = tracer
-        self._slot = 0
-        # Vectorized core (DESIGN.md section 15): skip ToRs with no staged
-        # or relayed bytes inside a slot, and jump whole idle slots.  Both
-        # are exact — a skipped ToR provably sends nothing, and a skipped
-        # slot provably changes no state (oblivious fabrics have no failure
-        # model and draw randomness only at injection).
-        self._vectorized = config.resolved_core == "vectorized"
-        self._ff_enabled = self._vectorized and config.idle_fast_forward
-        self._slots_fast_forwarded = 0
-
         if config.priority_queue_enabled:
             self._band_limits = tuple(config.pias_thresholds)
         else:
@@ -119,16 +98,6 @@ class ObliviousSimulator:
     # ------------------------------------------------------------------
     # public accessors
     # ------------------------------------------------------------------
-
-    @property
-    def now_ns(self) -> float:
-        """Start time of the next slot."""
-        return self._slot * self.slot_ns
-
-    @property
-    def core_used(self) -> str:
-        """Which engine core this instance runs (internal switch)."""
-        return "vectorized" if self._vectorized else "scalar"
 
     @property
     def total_queued_bytes(self) -> int:
@@ -143,93 +112,15 @@ class ObliviousSimulator:
         """Fresh bytes currently staged at one source ToR."""
         return self._stage_pending[tor]
 
-    @property
-    def fast_forwarded_slots(self) -> int:
-        """Idle slots the run loops skipped without stepping them."""
-        return self._slots_fast_forwarded
+    fast_forwarded_slots = SlottedEngine.fast_forwarded_steps
 
-    # ------------------------------------------------------------------
-    # run loops
-    # ------------------------------------------------------------------
+    def _is_idle(self) -> bool:
+        """The fabric holds no bytes at all.
 
-    def run(self, duration_ns: float) -> None:
-        """Simulate slots until ``duration_ns`` is covered.
-
-        Loop control is an exact integer slot budget: the float duration is
-        converted once via :meth:`_slot_ceil` (exact against the engine's
-        own ``slot * slot_ns`` arithmetic), so long horizons cannot
-        accumulate float drift in the stepping decision.
+        An empty slot then injects nothing (the next arrival is still in
+        the future), serves nothing, and draws no randomness.
         """
-        if duration_ns <= 0:
-            raise ValueError("duration must be positive")
-        target_slot = self._slot_ceil(duration_ns)
-        while self._slot < target_slot:
-            self._maybe_fast_forward(target_slot)
-            if self._slot >= target_slot:
-                break
-            self.step_slot()
-
-    def run_until_complete(self, max_ns: float) -> bool:
-        """Simulate until every flow completes (or ``max_ns``).
-
-        In streaming mode the source must also be exhausted — flows the
-        engine has not pulled yet are still outstanding work.
-        """
-        if max_ns <= 0:
-            raise ValueError("max_ns must be positive")
-        limit_slot = self._slot_ceil(max_ns)
-        while (
-            self._source.next_arrival_ns is not None
-            or not self.tracker.all_complete
-        ):
-            if self._slot >= limit_slot:
-                return False
-            self._maybe_fast_forward(limit_slot)
-            if self._slot >= limit_slot:
-                return False
-            self.step_slot()
-        return True
-
-    def _slot_ceil(self, time_ns: float) -> int:
-        """Smallest slot index whose start time is at or after ``time_ns``.
-
-        The while-loops absorb float rounding in the division so the result
-        is exact against the engine's own ``slot * slot_ns`` arithmetic.
-        """
-        slot_ns = self.slot_ns
-        slot = math.ceil(time_ns / slot_ns)
-        while slot > 0 and (slot - 1) * slot_ns >= time_ns:
-            slot -= 1
-        while slot * slot_ns < time_ns:
-            slot += 1
-        return slot
-
-    def _maybe_fast_forward(self, limit_slot: int) -> None:
-        """Jump ``_slot`` over slots in which provably nothing happens.
-
-        Legal only when the fabric holds no bytes at all: an empty slot
-        injects nothing (the next arrival is still in the future), serves
-        nothing, and draws no randomness.  The jump lands on the first slot
-        whose start time reaches the next arrival (that slot injects it),
-        or the run limit.
-        """
-        if not self._ff_enabled:
-            return
-        if any(self._stage_pending) or any(self._relay_pending):
-            return
-        arrival = self._source.next_arrival_ns
-        target = limit_slot
-        if arrival is not None:
-            target = min(target, self._slot_ceil(arrival))
-        if target > self._slot:
-            skipped = target - self._slot
-            self._slots_fast_forwarded += skipped
-            self._slot = target
-            if self._tracer is not None:
-                # Keep counter *totals* identical to a stepped run: every
-                # skipped slot would have counted exactly one "slots" tick
-                # and served zero cells.
-                self._tracer.count("slots", skipped)
+        return not any(self._stage_pending) and not any(self._relay_pending)
 
     # ------------------------------------------------------------------
     # one slot
@@ -237,7 +128,7 @@ class ObliviousSimulator:
 
     def step_slot(self) -> None:
         """Simulate one rotor timeslot across all ToRs and ports."""
-        slot = self._slot
+        slot = self._step
         start_ns = self.now_ns
         tracer = self._tracer
         if tracer is not None:
@@ -246,11 +137,14 @@ class ObliviousSimulator:
         if tracer is not None:
             tracer.add_span("inject", perf_counter() - t_inject)
 
-        topology = self.topology
+        peer_of = self.topology.predefined_peer
+        send_relay = self._send_relay
+        send_staged = self._send_staged
         cycle_slot = slot % self.cycle_slots
         cycle = slot // self.cycle_slots
         deliver_ns = start_ns + self.slot_ns + self.config.propagation_ns
         payload = self.payload_bytes
+        ports = range(self.config.ports_per_tor)
 
         # Active-set iteration (vectorized core): a ToR with no staged and
         # no relayed bytes cannot send on any port, so skipping it leaves
@@ -259,58 +153,36 @@ class ObliviousSimulator:
         stage_pending = self._stage_pending
         relay_pending = self._relay_pending
 
-        if tracer is None:
-            for tor in range(self.config.num_tors):
-                if (
-                    skip_idle_tors
-                    and not stage_pending[tor]
-                    and not relay_pending[tor]
-                ):
+        for tor in range(self.config.num_tors):
+            if (
+                skip_idle_tors
+                and not stage_pending[tor]
+                and not relay_pending[tor]
+            ):
+                continue
+            for port in ports:
+                peer = peer_of(tor, port, cycle_slot, cycle)
+                if peer is None:
                     continue
-                for port in range(self.config.ports_per_tor):
-                    peer = topology.predefined_peer(
-                        tor, port, cycle_slot, cycle
-                    )
-                    if peer is None:
-                        continue
-                    if self._send_relay(
-                        tor, peer, payload, start_ns, deliver_ns
-                    ):
-                        continue
-                    self._send_staged(tor, peer, payload, start_ns, deliver_ns)
-        else:
-            # Same sends, with per-hop wall-time attribution: second-hop
-            # relay service is "relay", first-hop staged service "drain".
-            for tor in range(self.config.num_tors):
-                if (
-                    skip_idle_tors
-                    and not stage_pending[tor]
-                    and not relay_pending[tor]
-                ):
-                    continue
-                for port in range(self.config.ports_per_tor):
-                    peer = topology.predefined_peer(
-                        tor, port, cycle_slot, cycle
-                    )
-                    if peer is None:
-                        continue
+                # Traced runs attribute wall time per hop: second-hop
+                # relay service is "relay", first-hop staged service "drain".
+                if tracer is not None:
                     t0 = perf_counter()
-                    relayed = self._send_relay(
-                        tor, peer, payload, start_ns, deliver_ns
-                    )
-                    now = perf_counter()
-                    tracer.add_span("relay", now - t0)
+                relayed = send_relay(tor, peer, payload, start_ns, deliver_ns)
+                if tracer is not None:
+                    t1 = perf_counter()
+                    tracer.add_span("relay", t1 - t0)
                     if relayed:
                         tracer.count("relay_cells")
-                        continue
-                    staged = self._send_staged(
-                        tor, peer, payload, start_ns, deliver_ns
-                    )
-                    tracer.add_span("drain", perf_counter() - now)
+                if relayed:
+                    continue
+                staged = send_staged(tor, peer, payload, start_ns, deliver_ns)
+                if tracer is not None:
+                    tracer.add_span("drain", perf_counter() - t1)
                     if staged:
                         tracer.count("direct_cells")
         self.tracker.flush_completions()
-        self._slot += 1
+        self._step += 1
         if tracer is not None:
             tracer.count("slots")
             if tracer.gauge_due(int(self.now_ns)):
@@ -320,20 +192,11 @@ class ObliviousSimulator:
                     relay_bytes=sum(self._relay_pending),
                 )
 
+    _step_once = step_slot
+
     # ------------------------------------------------------------------
     # VLB spreading
     # ------------------------------------------------------------------
-
-    def _inject_arrivals(self, before_ns: float) -> None:
-        source = self._source
-        arrival = source.next_arrival_ns
-        register = self.tracker.register if self._stream else None
-        while arrival is not None and arrival <= before_ns:
-            flow = source.pop()
-            if register is not None:
-                register(flow)
-            self._spread_flow(flow)
-            arrival = source.next_arrival_ns
 
     def _band_chunks(self, size_bytes: int):
         """Split a flow's bytes into (band, bytes) per the PIAS thresholds."""
@@ -351,7 +214,7 @@ class ObliviousSimulator:
             chunks.append((len(self._band_limits), tail))
         return chunks
 
-    def _spread_flow(self, flow: Flow) -> None:
+    def _enqueue_flow(self, flow: Flow) -> None:
         """Assign the flow's cells to uniformly random intermediates.
 
         Each payload-sized cell draws an intermediate; consecutive cells of
@@ -439,33 +302,3 @@ class ObliviousSimulator:
         if self.bandwidth is not None:
             self.bandwidth.record(("relay", peer), num_bytes, deliver_ns)
         return True
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-
-    def summary(self, duration_ns: float | None = None) -> RunSummary:
-        """Headline metrics over ``duration_ns`` (default: simulated time).
-
-        ``num_flows`` counts flows *injected into the fabric* in both
-        tracker modes — a flow arriving inside the run's final partial
-        slot is never injected (the rotor injects at slot start), and
-        before this was unified the materialized mode counted it while
-        the streaming mode did not.
-        """
-        duration = duration_ns if duration_ns is not None else self.now_ns
-        mice_p99, mice_mean = self.tracker.mice_fct_summary(
-            self.config.mice_threshold_bytes
-        )
-        return RunSummary(
-            duration_ns=duration,
-            epoch_ns=None,
-            num_flows=self._source.popped,
-            num_completed=self.tracker.num_completed,
-            goodput_normalized=self.tracker.goodput_normalized(
-                duration, self.config.host_aggregate_gbps
-            ),
-            goodput_gbps=self.tracker.goodput_gbps(duration),
-            mice_fct_p99_ns=mice_p99,
-            mice_fct_mean_ns=mice_mean,
-        )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
@@ -187,10 +188,14 @@ class RunSpec:
             raise ValueError(
                 f"unknown topology {self.topology!r}; choose from {TOPOLOGIES}"
             )
-        if self.load <= 0:
-            raise ValueError("load must be positive")
-        if self.duration_ns is not None and self.duration_ns <= 0:
-            raise ValueError("duration_ns must be positive")
+        # NaN fails every comparison and inf never finishes a run, so both
+        # are rejected here rather than deep inside an engine or a worker.
+        if not 0 < self.load < math.inf:
+            raise ValueError("load must be positive and finite")
+        for name in ("duration_ns", "max_ns"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         # Normalize params passed as dicts so hashing never sees a dict.
         for name in PARAM_FIELDS:
             if isinstance(getattr(self, name), Mapping):

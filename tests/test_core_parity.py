@@ -25,6 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Flow, ObliviousSimulator, SimConfig, ThinClos
+from repro.core.relay import SelectiveRelaySimulator
+from repro.sim.adaptive import AdaptiveSimulator
 from repro.sim.factory import make_negotiator, vectorized_core_eligible
 from repro.sim.failures import FailurePlan, random_failure_plan
 from repro.sim.network import NegotiaToRSimulator
@@ -323,9 +325,11 @@ class TestRunLoopControl:
             ),
             ObliviousSimulator(config, thin, list(flows)),
             RotorSimulator(config, thin, list(flows)),
+            AdaptiveSimulator(config, thin, list(flows)),
+            SelectiveRelaySimulator(config, thin, list(flows)),
         ]
 
-    @pytest.mark.parametrize("bad", [0, -1, -1e9])
+    @pytest.mark.parametrize("bad", [0, -1, -1e9, math.nan, math.inf])
     def test_run_until_complete_rejects_nonpositive_max_ns(self, bad):
         for sim in self._engines():
             with pytest.raises(ValueError, match="max_ns must be positive"):
@@ -336,6 +340,12 @@ class TestRunLoopControl:
         )
         with pytest.raises(ValueError, match="max_ns must be positive"):
             vec.run_until_complete(max_ns=bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, math.nan, math.inf])
+    def test_run_rejects_nonpositive_or_nonfinite_duration(self, bad):
+        for sim in self._engines("vectorized"):
+            with pytest.raises(ValueError, match="duration must be positive"):
+                sim.run(bad)
 
     def test_long_horizon_epoch_counts_are_exact(self):
         """Integer step budgets: epoch counters match ceil(duration/step)

@@ -294,6 +294,36 @@ class TestScenarios:
 # ---------------------------------------------------------------------------
 
 
+class TestSpecValidation:
+    """Bad durations and loads fail when the spec is built, not in a worker."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("duration_ns", float("nan"), "duration_ns must be positive"),
+            ("duration_ns", float("inf"), "duration_ns must be positive"),
+            ("max_ns", -5.0, "max_ns must be positive"),
+            ("max_ns", 0.0, "max_ns must be positive"),
+            ("load", float("nan"), "load must be positive"),
+        ],
+        ids=["nan-duration", "inf-duration", "negative-max", "zero-max",
+             "nan-load"],
+    )
+    def test_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_spec(until_complete=True, **{field: value})
+
+    def test_zero_max_ns_is_not_replaced_by_default_cutoff(self):
+        from repro.experiments.common import run_negotiator, workload_for
+
+        flows = workload_for(TINY, 0.25, duration_ns=SHORT_NS)
+        with pytest.raises(ValueError, match="max_ns must be positive"):
+            run_negotiator(
+                TINY, "parallel", flows, duration_ns=SHORT_NS,
+                until_complete=True, max_ns=0.0,
+            )
+
+
 class TestExecuteSpec:
     def test_matches_reference_runner(self):
         """execute_spec reproduces the experiments' direct-run path.

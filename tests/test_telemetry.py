@@ -240,8 +240,10 @@ class TestZeroInterference:
             micro_spec(),
             micro_spec(system="oblivious", topology="thinclos"),
             micro_spec(system="rotor", topology="thinclos"),
+            micro_spec(system="adaptive", topology="thinclos"),
+            micro_spec(system="relay", topology="thinclos"),
         ],
-        ids=["negotiator", "oblivious", "rotor"],
+        ids=["negotiator", "oblivious", "rotor", "adaptive", "relay"],
     )
     def test_execute_spec_bit_identical_with_telemetry(
         self, spec, tmp_path, monkeypatch
