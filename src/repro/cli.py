@@ -103,8 +103,8 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
         dest="systems",
         metavar="SYSTEM",
         default=None,
-        help="system to sweep: negotiator, oblivious, rotor, or adaptive "
-        "(repeatable; default: negotiator)",
+        help="system to sweep: negotiator, oblivious, rotor, adaptive, or "
+        "relay (repeatable; default: negotiator)",
     )
     parser.add_argument(
         "--topology",
@@ -537,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--system",
         metavar="SYSTEM",
         default="negotiator",
-        help="system to simulate: negotiator, oblivious, rotor, or "
-        "adaptive (default: negotiator)",
+        help="system to simulate: negotiator, oblivious, rotor, adaptive, "
+        "or relay (default: negotiator)",
     )
     simulate.add_argument(
         "--topology", choices=["parallel", "thinclos"], default="parallel"
@@ -698,12 +698,6 @@ def resolve_scale(name: str | None):
     if name is None:
         return current_scale()
     return SCALES[name]
-
-
-CLI_SYSTEMS = ("adaptive", "negotiator", "oblivious", "rotor")
-"""Systems runnable from the CLI.  The spec-level registry
-(:data:`repro.sweep.spec.SYSTEMS`) additionally holds ``relay``, which has
-no CLI entry point."""
 
 
 def _reject_unknown(names, registry, kind: str) -> bool:
@@ -920,7 +914,8 @@ def _build_specs(args, scale):
     Returns None (after printing the diagnostic) when any argument is
     invalid — callers exit 2.
     """
-    from .sweep import SCENARIOS, RunSpec, system_spec_fields
+    from .sweep import SCENARIOS, RunSpec
+    from .sweep.spec import SYSTEMS
 
     try:
         scenarios = [
@@ -945,7 +940,7 @@ def _build_specs(args, scale):
             print(str(exc), file=sys.stderr)
             return None
     systems = args.systems or ["negotiator"]
-    if _reject_unknown(systems, CLI_SYSTEMS, "system"):
+    if _reject_unknown(systems, SYSTEMS, "system"):
         return None
     topologies = args.topologies or ["parallel"]
     loads = args.loads or list(scale.loads)
@@ -965,20 +960,15 @@ def _build_specs(args, scale):
             )
             for system in systems:
                 for topology in topologies:
-                    # The oblivious, rotor, and adaptive baselines only
-                    # run on thin-clos (their schedules need the AWGR
-                    # structure), whatever the --topology axis says;
-                    # duplicates dedupe below.
-                    fields = (
-                        system_spec_fields(system)
-                        if system in ("adaptive", "oblivious", "rotor")
-                        else {"system": system, "topology": topology}
-                    )
+                    # Baselines run on their home fabric whatever the
+                    # --topology axis says; duplicates dedupe below.
+                    home = SYSTEMS[system].home
                     for load in point_loads:
                         for seed in seeds:
                             spec = RunSpec(
                                 scale=scale.name,
-                                **fields,
+                                system=system,
+                                topology=home or topology,
                                 scheduler=args.scheduler,
                                 scenario=scenario_name,
                                 scenario_params=params,
@@ -1434,23 +1424,22 @@ def cmd_store(args) -> int:
 def cmd_simulate(args) -> int:
     import random
 
-    from .experiments.common import (
-        run_adaptive,
-        run_negotiator,
-        run_oblivious,
-        run_rotor,
-        sim_config,
-    )
+    from .experiments import common
+    from .sweep import RunSpec
     from .workloads import by_name, poisson_workload, trace_io
 
-    if _reject_unknown([args.system], CLI_SYSTEMS, "system"):
-        return 2
     scale = resolve_scale(args.scale)
+    # The system table vets the system name and its fabric.
+    try:
+        RunSpec(scale=scale.name, system=args.system, topology=args.topology)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     duration_ns = (
         args.duration_ms * 1e6 if args.duration_ms is not None
         else scale.duration_ns
     )
-    config = sim_config(scale, priority_queue_enabled=not args.no_pq)
+    config = common.sim_config(scale, priority_queue_enabled=not args.no_pq)
     if args.seed is not None:
         import dataclasses
 
@@ -1472,11 +1461,7 @@ def cmd_simulate(args) -> int:
             random.Random(config.seed),
         )
 
-    run = {
-        "oblivious": run_oblivious,
-        "rotor": run_rotor,
-        "adaptive": run_adaptive,
-    }.get(args.system, run_negotiator)
+    run = getattr(common, f"run_{args.system}")
     summary = run(
         scale, args.topology, flows, duration_ns=duration_ns, config=config
     ).summary

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.variants import make_scheduler
-from ..sim.config import EpochConfig, SimConfig
+from ..sim.config import SimConfig
 from ..sim.metrics import BandwidthRecorder, MatchRatioRecorder, RunSummary
 from ..sim.factory import make_negotiator
 from ..sim.network import NegotiaToRSimulator
@@ -144,7 +144,9 @@ def make_topology(scale: ExperimentScale, kind: str) -> FlatTopology:
         return ParallelNetwork(scale.num_tors, scale.ports_per_tor)
     if kind == "thinclos":
         return ThinClos(scale.num_tors, scale.ports_per_tor, scale.awgr_ports)
-    raise ValueError(f"unknown topology kind {kind!r}")
+    from ..sweep.spec import TOPOLOGIES, unknown_name_message
+
+    raise ValueError(unknown_name_message("topology", [kind], TOPOLOGIES))
 
 
 @dataclass
@@ -183,231 +185,135 @@ def _run_registered(sim, duration, until_complete, max_ns):
         clear_active_simulator()
 
 
-def run_negotiator(
+def _run_engine(
+    build,
     scale: ExperimentScale,
     topology_kind: str,
     flows,
     *,
     duration_ns: float | None = None,
     config: SimConfig | None = None,
-    epoch: EpochConfig | None = None,
-    priority_queue: bool = True,
-    scheduler_name: str = "base",
-    scheduler_kwargs: dict | None = None,
-    record_match_ratio: bool = False,
     bandwidth_bin_ns: float | None = None,
-    record_pair_bandwidth: bool = False,
-    failure_model=None,
-    failure_plan=None,
     until_complete: bool = False,
     max_ns: float | None = None,
-    stream: bool = False,
-    tracer=None,
+    **options,
 ) -> RunArtifacts:
-    """Run NegotiaToR on a workload and collect artifacts.
+    """The one body behind every ``run_*`` helper.
 
-    ``stream=True`` consumes ``flows`` as a lazy arrival-ordered iterator
-    with a bounded-memory tracker (DESIGN.md §11).  ``tracer`` is an
-    optional :class:`~repro.telemetry.EngineTracer` (DESIGN.md §14).
+    ``build(config, topology, flows, bandwidth_recorder=..., **options)``
+    constructs the engine; ``options`` are its own keywords (``stream``,
+    ``tracer``, failure plans, ...).  ``stream=True`` consumes ``flows`` as
+    a lazy arrival-ordered iterator with a bounded-memory tracker
+    (DESIGN.md §11); ``tracer`` is an optional
+    :class:`~repro.telemetry.EngineTracer` (DESIGN.md §14).
     """
     if config is None:
-        overrides: dict = {"priority_queue_enabled": priority_queue}
-        if epoch is not None:
-            overrides["epoch"] = epoch
-        config = sim_config(scale, **overrides)
+        config = sim_config(scale)
     topology = make_topology(scale, topology_kind)
-    scheduler = None
-    if scheduler_name != "base" or scheduler_kwargs:
-        scheduler = make_scheduler(
-            scheduler_name,
-            topology,
-            random.Random(config.seed),
-            **(scheduler_kwargs or {}),
-        )
-    match_recorder = MatchRatioRecorder() if record_match_ratio else None
     bandwidth = (
         BandwidthRecorder(bandwidth_bin_ns) if bandwidth_bin_ns else None
     )
-    sim = make_negotiator(
-        config,
-        topology,
-        flows,
-        scheduler=scheduler,
-        failure_model=failure_model,
-        failure_plan=failure_plan,
-        match_recorder=match_recorder,
-        bandwidth_recorder=bandwidth,
-        record_pair_bandwidth=record_pair_bandwidth,
-        stream=stream,
-        tracer=tracer,
+    sim = build(
+        config, topology, flows, bandwidth_recorder=bandwidth, **options
     )
     duration = duration_ns if duration_ns is not None else scale.duration_ns
     summary = _run_registered(sim, duration, until_complete, max_ns)
     return RunArtifacts(
         summary=summary,
         simulator=sim,
-        match_recorder=match_recorder,
+        match_recorder=options.get("match_recorder"),
         bandwidth=bandwidth,
     )
 
 
-def run_relay(
+def run_negotiator(
     scale: ExperimentScale,
+    topology_kind: str,
     flows,
     *,
-    duration_ns: float | None = None,
-    config: SimConfig | None = None,
-    relay_policy=None,
-    until_complete: bool = False,
-    max_ns: float | None = None,
-    tracer=None,
+    scheduler_name: str = "base",
+    scheduler_kwargs: dict | None = None,
+    record_match_ratio: bool = False,
+    **kwargs,
 ) -> RunArtifacts:
-    """Run the selective-relay variant (thin-clos only, appendix A.2.2)."""
-    from ..core.relay import SelectiveRelaySimulator
+    """Run NegotiaToR on a workload and collect artifacts.
 
-    if config is None:
-        config = sim_config(scale)
-    topology = make_topology(scale, "thinclos")
-    sim = SelectiveRelaySimulator(
-        config, topology, flows, relay_policy=relay_policy, tracer=tracer
+    Also accepts ``record_pair_bandwidth`` and ``failure_model`` /
+    ``failure_plan`` plus the shared keywords of :func:`_run_engine`.
+    """
+
+    def build(config, topology, flows, **options):
+        if scheduler_name != "base" or scheduler_kwargs:
+            options["scheduler"] = make_scheduler(
+                scheduler_name,
+                topology,
+                random.Random(config.seed),
+                **(scheduler_kwargs or {}),
+            )
+        return make_negotiator(config, topology, flows, **options)
+
+    if record_match_ratio:
+        kwargs["match_recorder"] = MatchRatioRecorder()
+    return _run_engine(build, scale, topology_kind, flows, **kwargs)
+
+
+def run_relay(
+    scale: ExperimentScale,
+    topology_kind: str,
+    flows,
+    *,
+    scheduler_kwargs: dict | None = None,
+    **kwargs,
+) -> RunArtifacts:
+    """Run the selective-relay variant (thin-clos only, appendix A.2.2).
+
+    ``scheduler_kwargs`` override :class:`~repro.core.relay.RelayPolicy`
+    fields.
+    """
+    from ..core.relay import RelayPolicy, SelectiveRelaySimulator
+
+    if scheduler_kwargs:
+        kwargs["relay_policy"] = RelayPolicy(**scheduler_kwargs)
+    return _run_engine(
+        SelectiveRelaySimulator, scale, topology_kind, flows, **kwargs
     )
-    duration = duration_ns if duration_ns is not None else scale.duration_ns
-    summary = _run_registered(sim, duration, until_complete, max_ns)
-    return RunArtifacts(summary=summary, simulator=sim)
 
 
 def run_oblivious(
-    scale: ExperimentScale,
-    topology_kind: str,
-    flows,
-    *,
-    duration_ns: float | None = None,
-    config: SimConfig | None = None,
-    priority_queue: bool = True,
-    bandwidth_bin_ns: float | None = None,
-    until_complete: bool = False,
-    max_ns: float | None = None,
-    stream: bool = False,
-    tracer=None,
+    scale: ExperimentScale, topology_kind: str, flows, **kwargs
 ) -> RunArtifacts:
-    """Run the traffic-oblivious baseline on a workload.
-
-    ``stream=True`` consumes ``flows`` as a lazy arrival-ordered iterator
-    with a bounded-memory tracker (DESIGN.md §11).
-    """
-    if config is None:
-        config = sim_config(scale, priority_queue_enabled=priority_queue)
-    topology = make_topology(scale, topology_kind)
-    bandwidth = (
-        BandwidthRecorder(bandwidth_bin_ns) if bandwidth_bin_ns else None
+    """Run the traffic-oblivious baseline on a workload."""
+    return _run_engine(
+        ObliviousSimulator, scale, topology_kind, flows, **kwargs
     )
-    sim = ObliviousSimulator(
-        config,
-        topology,
-        flows,
-        bandwidth_recorder=bandwidth,
-        stream=stream,
-        tracer=tracer,
-    )
-    duration = duration_ns if duration_ns is not None else scale.duration_ns
-    summary = _run_registered(sim, duration, until_complete, max_ns)
-    return RunArtifacts(summary=summary, simulator=sim, bandwidth=bandwidth)
 
 
 def run_rotor(
-    scale: ExperimentScale,
-    topology_kind: str,
-    flows,
-    *,
-    duration_ns: float | None = None,
-    config: SimConfig | None = None,
-    priority_queue: bool = True,
-    rotor=None,
-    bandwidth_bin_ns: float | None = None,
-    failure_model=None,
-    failure_plan=None,
-    until_complete: bool = False,
-    max_ns: float | None = None,
-    stream: bool = False,
-    tracer=None,
+    scale: ExperimentScale, topology_kind: str, flows, **kwargs
 ) -> RunArtifacts:
     """Run the RotorNet-style rotor baseline on a workload.
 
-    ``rotor`` is a :class:`~repro.sim.config.RotorConfig` (default
-    timing/relay knobs when None).  ``stream=True`` consumes ``flows`` as a
-    lazy arrival-ordered iterator with a bounded-memory tracker (DESIGN.md
-    §11).
+    ``rotor=`` takes a :class:`~repro.sim.config.RotorConfig` (default
+    timing/relay knobs when absent).
     """
     from ..sim.rotor import RotorSimulator
 
-    if config is None:
-        config = sim_config(scale, priority_queue_enabled=priority_queue)
-    topology = make_topology(scale, topology_kind)
-    bandwidth = (
-        BandwidthRecorder(bandwidth_bin_ns) if bandwidth_bin_ns else None
-    )
-    sim = RotorSimulator(
-        config,
-        topology,
-        flows,
-        rotor=rotor,
-        failure_model=failure_model,
-        failure_plan=failure_plan,
-        bandwidth_recorder=bandwidth,
-        stream=stream,
-        tracer=tracer,
-    )
-    duration = duration_ns if duration_ns is not None else scale.duration_ns
-    summary = _run_registered(sim, duration, until_complete, max_ns)
-    return RunArtifacts(summary=summary, simulator=sim, bandwidth=bandwidth)
+    return _run_engine(RotorSimulator, scale, topology_kind, flows, **kwargs)
 
 
 def run_adaptive(
-    scale: ExperimentScale,
-    topology_kind: str,
-    flows,
-    *,
-    duration_ns: float | None = None,
-    config: SimConfig | None = None,
-    priority_queue: bool = True,
-    adaptive=None,
-    bandwidth_bin_ns: float | None = None,
-    failure_model=None,
-    failure_plan=None,
-    until_complete: bool = False,
-    max_ns: float | None = None,
-    stream: bool = False,
-    tracer=None,
+    scale: ExperimentScale, topology_kind: str, flows, **kwargs
 ) -> RunArtifacts:
     """Run the demand-aware adaptive baseline on a workload.
 
-    ``adaptive`` is a :class:`~repro.sim.config.AdaptiveConfig` (default
-    estimation/matching knobs when None).  ``stream=True`` consumes
-    ``flows`` as a lazy arrival-ordered iterator with a bounded-memory
-    tracker (DESIGN.md §11).
+    ``adaptive=`` takes a :class:`~repro.sim.config.AdaptiveConfig`
+    (default estimation/matching knobs when absent).
     """
     from ..sim.adaptive import AdaptiveSimulator
 
-    if config is None:
-        config = sim_config(scale, priority_queue_enabled=priority_queue)
-    topology = make_topology(scale, topology_kind)
-    bandwidth = (
-        BandwidthRecorder(bandwidth_bin_ns) if bandwidth_bin_ns else None
+    return _run_engine(
+        AdaptiveSimulator, scale, topology_kind, flows, **kwargs
     )
-    sim = AdaptiveSimulator(
-        config,
-        topology,
-        flows,
-        adaptive=adaptive,
-        failure_model=failure_model,
-        failure_plan=failure_plan,
-        bandwidth_recorder=bandwidth,
-        stream=stream,
-        tracer=tracer,
-    )
-    duration = duration_ns if duration_ns is not None else scale.duration_ns
-    summary = _run_registered(sim, duration, until_complete, max_ns)
-    return RunArtifacts(summary=summary, simulator=sim, bandwidth=bandwidth)
 
 
 def sized_distribution(scale: ExperimentScale, trace: str = "hadoop"):

@@ -57,18 +57,15 @@ from collections.abc import Iterable
 from time import perf_counter
 
 from ..topology.base import FlatTopology
-from .config import AdaptiveConfig, SimConfig, transmit_ns
+from .config import AdaptiveConfig, SimConfig
 from .failures import FailurePlan, LinkFailureModel
 from .flows import Flow
 from .metrics import BandwidthRecorder
-from .queues import PiasDestQueue
-from .slotted import SlottedEngine
+from .slotted import SliceEngine
 
 
-class AdaptiveSimulator(SlottedEngine):
+class AdaptiveSimulator(SliceEngine):
     """Slice-driven demand-aware fabric over a finite set of flows."""
-
-    _skipped_step_counter = "slices"
 
     def __init__(
         self,
@@ -83,44 +80,23 @@ class AdaptiveSimulator(SlottedEngine):
         tracer=None,
     ) -> None:
         self.adaptive = adaptive or AdaptiveConfig()
-        self.slice_ns = self.adaptive.slice_ns(config.epoch, config.uplink_gbps)
-        core = config.resolved_core
         super().__init__(
             config,
             topology,
             flows,
-            self.slice_ns,
-            core=core,
-            fast_forward=core == "vectorized" and config.idle_fast_forward,
-            stream=stream,
-            tracer=tracer,
+            self.adaptive,
             failure_model=failure_model,
             failure_plan=failure_plan,
+            bandwidth_recorder=bandwidth_recorder,
+            stream=stream,
+            tracer=tracer,
         )
         if self.adaptive.residual_ports > config.ports_per_tor:
             raise ValueError(
                 "residual_ports cannot exceed ports_per_tor "
                 f"({self.adaptive.residual_ports} > {config.ports_per_tor})"
             )
-        packet_bytes = (
-            config.epoch.data_header_bytes + config.epoch.data_payload_bytes
-        )
-        self._tx_ns = transmit_ns(packet_bytes, config.uplink_gbps)
-        self.payload_bytes = config.epoch.data_payload_bytes
-        self.cycle_slots = topology.predefined_slots
-
         n = config.num_tors
-        if config.priority_queue_enabled:
-            self._band_limits = tuple(config.pias_thresholds)
-        else:
-            self._band_limits = ()
-        # Per (source, destination) direct queues with PIAS bands: bytes
-        # wait here until a demand-aware circuit or the residual rotation
-        # connects the pair.  All traffic is one-hop — no relay buffers.
-        self._direct: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
-        self._direct_pending = [0] * n
-        self.bandwidth = bandwidth_recorder
-
         # Demand estimation and the circuit schedule.
         self._est = [[0.0] * n for _ in range(n)]
         self._window = [[0] * n for _ in range(n)]
@@ -158,17 +134,10 @@ class AdaptiveSimulator(SlottedEngine):
     # public accessors
     # ------------------------------------------------------------------
 
-    #: Number of slices simulated so far.
-    slices = SlottedEngine.step
-
     @property
     def total_queued_bytes(self) -> int:
         """Bytes waiting in source queues (the fabric holds nothing else)."""
         return sum(self._direct_pending)
-
-    def direct_bytes_at(self, tor: int) -> int:
-        """Bytes currently queued for transmission at one ToR."""
-        return self._direct_pending[tor]
 
     @property
     def recomputes(self) -> int:
@@ -208,8 +177,6 @@ class AdaptiveSimulator(SlottedEngine):
     # ------------------------------------------------------------------
     # fast-forward hooks (DESIGN.md section 7)
     # ------------------------------------------------------------------
-
-    fast_forwarded_slices = SlottedEngine.fast_forwarded_steps
 
     def _is_idle(self) -> bool:
         """An empty fabric that has never observed any demand.
@@ -453,67 +420,12 @@ class AdaptiveSimulator(SlottedEngine):
         return changed
 
     # ------------------------------------------------------------------
-    # slice timing
-    # ------------------------------------------------------------------
-
-    def _packet_start_ns(self, slice_start_ns: float, k: int) -> float:
-        """Start of the k-th packet opportunity inside one slice."""
-        return slice_start_ns + k * self._tx_ns
-
-    def _packet_deliver_ns(self, slice_start_ns: float, k: int) -> float:
-        """Arrival time of the k-th packet at the receiving ToR."""
-        return (
-            self._packet_start_ns(slice_start_ns, k)
-            + self._tx_ns
-            + self.config.propagation_ns
-        )
-
-    # ------------------------------------------------------------------
     # arrivals
     # ------------------------------------------------------------------
 
     def _enqueue_flow(self, flow: Flow) -> None:
-        queue = self._direct[flow.src].get(flow.dst)
-        if queue is None:
-            queue = PiasDestQueue(
-                self._band_limits, enabled=bool(self._band_limits)
-            )
-            self._direct[flow.src][flow.dst] = queue
-        queue.enqueue_flow(flow)
-        self._direct_pending[flow.src] += flow.size_bytes
+        super()._enqueue_flow(flow)
         # The demand observation the next recompute folds in.
         self._window[flow.src][flow.dst] += flow.size_bytes
         self._window_bytes += flow.size_bytes
         self._demand_seen = True
-
-    # ------------------------------------------------------------------
-    # serving
-    # ------------------------------------------------------------------
-
-    def _serve_direct(
-        self, tor: int, peer: int, start_ns: float, offset: int, budget: int
-    ) -> int:
-        """Drain the (tor, peer) backlog in PIAS order; returns slots used."""
-        queue = self._direct[tor].get(peer)
-        if queue is None or queue.is_empty:
-            return 0
-        sent = 0
-
-        def deliver(flow: Flow, num_bytes: int, last_slot: int) -> None:
-            nonlocal sent
-            sent += num_bytes
-            deliver_ns = self._packet_deliver_ns(start_ns, offset + last_slot)
-            self.tracker.deliver(flow, num_bytes, deliver_ns)
-            if self.bandwidth is not None:
-                self.bandwidth.record(("rx", peer), num_bytes, deliver_ns)
-
-        used = queue.drain_slots(
-            num_slots=budget - offset,
-            payload_bytes=self.payload_bytes,
-            slot_start_ns=lambda k: self._packet_start_ns(
-                start_ns, offset + k
-            ),
-            deliver=deliver,
-        )
-        self._direct_pending[tor] -= sent
-        return used

@@ -49,18 +49,16 @@ from collections.abc import Iterable
 from time import perf_counter
 
 from ..topology.base import FlatTopology
-from .config import RotorConfig, SimConfig, transmit_ns
+from .config import RotorConfig, SimConfig
 from .failures import FailurePlan, LinkFailureModel
 from .flows import Flow
 from .metrics import BandwidthRecorder
 from .queues import PiasDestQueue
-from .slotted import SlottedEngine
+from .slotted import SliceEngine
 
 
-class RotorSimulator(SlottedEngine):
+class RotorSimulator(SliceEngine):
     """Slice-driven rotor fabric over a finite set of flows."""
-
-    _skipped_step_counter = "slices"
 
     def __init__(
         self,
@@ -75,66 +73,39 @@ class RotorSimulator(SlottedEngine):
         tracer=None,
     ) -> None:
         self.rotor = rotor or RotorConfig()
-        self.slice_ns = self.rotor.slice_ns(config.epoch, config.uplink_gbps)
-        # Vectorized core (DESIGN.md section 15): active-set iteration over
-        # ToRs with pending bytes and whole-slice fast-forward while the
-        # fabric is empty and failure detection is in steady state.
-        core = config.resolved_core
+        # Every rotation pays the reconfiguration guard before the slice's
+        # first packet.
         super().__init__(
             config,
             topology,
             flows,
-            self.slice_ns,
-            core=core,
-            fast_forward=core == "vectorized" and config.idle_fast_forward,
-            stream=stream,
-            tracer=tracer,
+            self.rotor,
+            lead_ns=self.rotor.reconfiguration_delay_ns,
             failure_model=failure_model,
             failure_plan=failure_plan,
+            bandwidth_recorder=bandwidth_recorder,
+            stream=stream,
+            tracer=tracer,
         )
-        packet_bytes = (
-            config.epoch.data_header_bytes + config.epoch.data_payload_bytes
-        )
-        self._tx_ns = transmit_ns(packet_bytes, config.uplink_gbps)
-        self.payload_bytes = config.epoch.data_payload_bytes
-        self.cycle_slots = topology.predefined_slots
-
+        # Per (intermediate, final destination) relay queues, single band:
+        # VLB offload parks lowest-band bytes here until the intermediate's
+        # rotor reaches the final destination.
         n = config.num_tors
-        if config.priority_queue_enabled:
-            self._band_limits = tuple(config.pias_thresholds)
-        else:
-            self._band_limits = ()
-        # Per (source, destination) direct queues with PIAS bands: bytes
-        # wait here until the rotor connects the pair (or, with VLB, until
-        # leftover capacity offloads lowest-band bytes through a detour).
-        self._direct: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
-        self._direct_pending = [0] * n
-        # Per (intermediate, final destination) relay queues, single band.
         self._relay: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
         self._relay_pending = [0] * n
-        self.bandwidth = bandwidth_recorder
 
     # ------------------------------------------------------------------
     # public accessors
     # ------------------------------------------------------------------
-
-    #: Number of slices simulated so far.
-    slices = SlottedEngine.step
 
     @property
     def total_queued_bytes(self) -> int:
         """Bytes waiting at sources plus bytes in flight at intermediates."""
         return sum(self._direct_pending) + sum(self._relay_pending)
 
-    def direct_bytes_at(self, tor: int) -> int:
-        """Bytes currently queued for direct transmission at one ToR."""
-        return self._direct_pending[tor]
-
     def relay_bytes_at(self, tor: int) -> int:
         """Bytes currently buffered at one intermediate ToR."""
         return self._relay_pending[tor]
-
-    fast_forwarded_slices = SlottedEngine.fast_forwarded_steps
 
     def _is_idle(self) -> bool:
         """No direct and no relay backlog anywhere in the fabric."""
@@ -222,91 +193,8 @@ class RotorSimulator(SlottedEngine):
     _step_once = step_slice
 
     # ------------------------------------------------------------------
-    # slice timing
+    # the three RotorLB service steps (direct: SliceEngine._serve_direct)
     # ------------------------------------------------------------------
-
-    def _packet_start_ns(self, slice_start_ns: float, k: int) -> float:
-        """Start of the k-th packet opportunity inside one slice."""
-        return (
-            slice_start_ns
-            + self.rotor.reconfiguration_delay_ns
-            + k * self._tx_ns
-        )
-
-    def _packet_deliver_ns(self, slice_start_ns: float, k: int) -> float:
-        """Arrival time of the k-th packet at the receiving ToR."""
-        return (
-            self._packet_start_ns(slice_start_ns, k)
-            + self._tx_ns
-            + self.config.propagation_ns
-        )
-
-    # ------------------------------------------------------------------
-    # arrivals
-    # ------------------------------------------------------------------
-
-    def _enqueue_flow(self, flow: Flow) -> None:
-        queue = self._direct[flow.src].get(flow.dst)
-        if queue is None:
-            queue = PiasDestQueue(
-                self._band_limits, enabled=bool(self._band_limits)
-            )
-            self._direct[flow.src][flow.dst] = queue
-        queue.enqueue_flow(flow)
-        self._direct_pending[flow.src] += flow.size_bytes
-
-    # ------------------------------------------------------------------
-    # the three RotorLB service steps
-    # ------------------------------------------------------------------
-
-    def _transmit(
-        self,
-        queue: PiasDestQueue,
-        peer: int,
-        start_ns: float,
-        offset: int,
-        budget: int,
-        *,
-        band: int | None = None,
-    ) -> tuple[int, int]:
-        """Drain one queue toward the connected peer; (slots used, bytes).
-
-        ``band=None`` drains in PIAS order (direct queues); an explicit
-        band restricts the drain to it *and* stops at an ineligible head
-        instead of idling slots away — which is what the relay step needs:
-        a relay chunk handed over this very slice is eligible only from
-        the next slice boundary, and burning the budget waiting for it
-        would starve the pair's direct backlog.
-        """
-        sent = 0
-
-        def deliver(flow: Flow, num_bytes: int, last_slot: int) -> None:
-            nonlocal sent
-            sent += num_bytes
-            deliver_ns = self._packet_deliver_ns(start_ns, offset + last_slot)
-            self.tracker.deliver(flow, num_bytes, deliver_ns)
-            if self.bandwidth is not None:
-                self.bandwidth.record(("rx", peer), num_bytes, deliver_ns)
-
-        def slot_start(k: int) -> float:
-            return self._packet_start_ns(start_ns, offset + k)
-
-        if band is None:
-            used = queue.drain_slots(
-                num_slots=budget - offset,
-                payload_bytes=self.payload_bytes,
-                slot_start_ns=slot_start,
-                deliver=deliver,
-            )
-        else:
-            used = queue.drain_band_slots(
-                band=band,
-                num_slots=budget - offset,
-                payload_bytes=self.payload_bytes,
-                slot_start_ns=slot_start,
-                deliver=deliver,
-            )
-        return used, sent
 
     def _serve_relay(
         self, tor: int, peer: int, start_ns: float, offset: int, budget: int
@@ -319,19 +207,6 @@ class RotorSimulator(SlottedEngine):
             queue, peer, start_ns, offset, budget, band=0
         )
         self._relay_pending[tor] -= sent
-        return used
-
-    def _serve_direct(
-        self, tor: int, peer: int, start_ns: float, offset: int, budget: int
-    ) -> int:
-        """Direct one-hop transmissions to the connected peer, PIAS order."""
-        if offset >= budget:
-            return 0
-        queue = self._direct[tor].get(peer)
-        if queue is None or queue.is_empty:
-            return 0
-        used, sent = self._transmit(queue, peer, start_ns, offset, budget)
-        self._direct_pending[tor] -= sent
         return used
 
     def _offload_indirect(

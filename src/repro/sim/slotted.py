@@ -23,6 +23,10 @@ three hooks: :meth:`~SlottedEngine._is_idle`
 skipped because it injects the next arrival) and
 :meth:`~SlottedEngine._account_skipped` (keep step-derived counters equal
 to a stepped run's).
+
+:class:`SliceEngine` adds what the rotor and adaptive baselines share on
+top: slice timing, per-(source, destination) PIAS direct queues and the
+one-hop direct service that drains them.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ import math
 from collections.abc import Iterable
 
 from ..topology.base import FlatTopology
-from .config import SimConfig
+from .config import SimConfig, transmit_ns
 from .failures import FailurePlan, LinkFailureModel
 from .flows import Flow, FlowTracker
-from .metrics import RunSummary
+from .metrics import BandwidthRecorder, RunSummary
+from .queues import PiasDestQueue
 from .source import MaterializedFlowSource, StreamingFlowSource
 
 
@@ -306,3 +311,169 @@ class SlottedEngine:
             mice_fct_p99_ns=mice_p99,
             mice_fct_mean_ns=mice_mean,
         )
+
+
+class SliceEngine(SlottedEngine):
+    """A slice-driven fabric with per-pair PIAS direct queues.
+
+    The rotor and adaptive baselines both hold each circuit for a slice of
+    ``packets_per_slice`` data packets and serve, on every connected
+    (tor, peer), the source's direct backlog for ``peer`` in PIAS order.
+    ``slice_config`` is the engine's :class:`~repro.sim.config.RotorConfig`
+    or :class:`~repro.sim.config.AdaptiveConfig`; ``lead_ns`` delays every
+    packet opportunity of a slice (the rotor's per-rotation guard).
+    """
+
+    _skipped_step_counter = "slices"
+
+    def __init__(
+        self,
+        config: SimConfig,
+        topology: FlatTopology,
+        flows: Iterable[Flow],
+        slice_config,
+        *,
+        lead_ns: float = 0.0,
+        failure_model: LinkFailureModel | None = None,
+        failure_plan: FailurePlan | None = None,
+        bandwidth_recorder: BandwidthRecorder | None = None,
+        stream: bool = False,
+        tracer=None,
+    ) -> None:
+        self.slice_ns = slice_config.slice_ns(config.epoch, config.uplink_gbps)
+        # Vectorized core (DESIGN.md section 15): active-set iteration over
+        # ToRs with pending bytes and whole-slice fast-forward while the
+        # fabric is empty and failure detection is in steady state.
+        core = config.resolved_core
+        super().__init__(
+            config,
+            topology,
+            flows,
+            self.slice_ns,
+            core=core,
+            fast_forward=core == "vectorized" and config.idle_fast_forward,
+            stream=stream,
+            tracer=tracer,
+            failure_model=failure_model,
+            failure_plan=failure_plan,
+        )
+        packet_bytes = (
+            config.epoch.data_header_bytes + config.epoch.data_payload_bytes
+        )
+        self._tx_ns = transmit_ns(packet_bytes, config.uplink_gbps)
+        self._lead_ns = lead_ns
+        self.payload_bytes = config.epoch.data_payload_bytes
+        self.cycle_slots = topology.predefined_slots
+
+        n = config.num_tors
+        if config.priority_queue_enabled:
+            self._band_limits = tuple(config.pias_thresholds)
+        else:
+            self._band_limits = ()
+        # Per (source, destination) direct queues with PIAS bands: bytes
+        # wait here until the slice schedule connects the pair.
+        self._direct: list[dict[int, PiasDestQueue]] = [{} for _ in range(n)]
+        self._direct_pending = [0] * n
+        self.bandwidth = bandwidth_recorder
+
+    #: Number of slices simulated so far.
+    slices = SlottedEngine.step
+
+    fast_forwarded_slices = SlottedEngine.fast_forwarded_steps
+
+    def direct_bytes_at(self, tor: int) -> int:
+        """Bytes currently queued for direct transmission at one ToR."""
+        return self._direct_pending[tor]
+
+    # ------------------------------------------------------------------
+    # slice timing
+    # ------------------------------------------------------------------
+
+    def _packet_start_ns(self, slice_start_ns: float, k: int) -> float:
+        """Start of the k-th packet opportunity inside one slice."""
+        return slice_start_ns + self._lead_ns + k * self._tx_ns
+
+    def _packet_deliver_ns(self, slice_start_ns: float, k: int) -> float:
+        """Arrival time of the k-th packet at the receiving ToR."""
+        return (
+            self._packet_start_ns(slice_start_ns, k)
+            + self._tx_ns
+            + self.config.propagation_ns
+        )
+
+    # ------------------------------------------------------------------
+    # arrivals and direct service
+    # ------------------------------------------------------------------
+
+    def _enqueue_flow(self, flow: Flow) -> None:
+        queue = self._direct[flow.src].get(flow.dst)
+        if queue is None:
+            queue = PiasDestQueue(
+                self._band_limits, enabled=bool(self._band_limits)
+            )
+            self._direct[flow.src][flow.dst] = queue
+        queue.enqueue_flow(flow)
+        self._direct_pending[flow.src] += flow.size_bytes
+
+    def _transmit(
+        self,
+        queue: PiasDestQueue,
+        peer: int,
+        start_ns: float,
+        offset: int,
+        budget: int,
+        *,
+        band: int | None = None,
+    ) -> tuple[int, int]:
+        """Drain one queue toward the connected peer; (slots used, bytes).
+
+        ``band=None`` drains in PIAS order (direct queues); an explicit
+        band restricts the drain to it *and* stops at an ineligible head
+        instead of idling slots away (the rotor's relay step: a chunk
+        handed over this very slice is eligible only from the next slice
+        boundary, and burning the budget waiting for it would starve the
+        pair's direct backlog).
+        """
+        sent = 0
+
+        def deliver(flow: Flow, num_bytes: int, last_slot: int) -> None:
+            nonlocal sent
+            sent += num_bytes
+            deliver_ns = self._packet_deliver_ns(start_ns, offset + last_slot)
+            self.tracker.deliver(flow, num_bytes, deliver_ns)
+            if self.bandwidth is not None:
+                self.bandwidth.record(("rx", peer), num_bytes, deliver_ns)
+
+        def slot_start(k: int) -> float:
+            return self._packet_start_ns(start_ns, offset + k)
+
+        if band is None:
+            used = queue.drain_slots(
+                num_slots=budget - offset,
+                payload_bytes=self.payload_bytes,
+                slot_start_ns=slot_start,
+                deliver=deliver,
+            )
+        else:
+            used = queue.drain_band_slots(
+                band=band,
+                num_slots=budget - offset,
+                payload_bytes=self.payload_bytes,
+                slot_start_ns=slot_start,
+                deliver=deliver,
+            )
+        return used, sent
+
+    def _serve_direct(
+        self, tor: int, peer: int, start_ns: float, offset: int, budget: int
+    ) -> int:
+        """Direct one-hop transmissions to the connected peer, PIAS order;
+        returns slots used."""
+        if offset >= budget:
+            return 0
+        queue = self._direct[tor].get(peer)
+        if queue is None or queue.is_empty:
+            return 0
+        used, sent = self._transmit(queue, peer, start_ns, offset, budget)
+        self._direct_pending[tor] -= sent
+        return used

@@ -25,7 +25,7 @@ import traceback as traceback_module
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from ..experiments.common import (
+from ..experiments.common import (  # noqa: F401 (run_*: execute_spec)
     SCALES,
     ExperimentScale,
     make_topology,
@@ -68,7 +68,7 @@ from .resilience import (
     default_quarantine_path,
     run_with_retries,
 )
-from .spec import SYSTEMS, RunSpec, unknown_name_message
+from .spec import SYSTEMS, RunSpec
 from .store import ResultStore
 
 
@@ -146,36 +146,31 @@ def resolve_epoch(
     return epoch
 
 
-def resolve_rotor(spec: RunSpec) -> RotorConfig | None:
-    """The rotor configuration a spec's ``rotor_params`` describe.
+SYSTEM_CONFIGS = {
+    "rotor_params": ("rotor", RotorConfig),
+    "adaptive_params": ("adaptive", AdaptiveConfig),
+}
+"""System params field -> (run-helper keyword, config class it fills)."""
 
-    Keys map to :class:`~repro.sim.config.RotorConfig` fields.  Returns
-    None (engine defaults) when the spec has no overrides.
+
+def resolve_system_params(spec: RunSpec) -> dict:
+    """The run-helper keyword a spec's own system params describe.
+
+    ``rotor_params`` fill a :class:`~repro.sim.config.RotorConfig` passed
+    as ``rotor=``, ``adaptive_params`` an
+    :class:`~repro.sim.config.AdaptiveConfig` passed as ``adaptive=``.
+    Empty (engine defaults) when the spec has no overrides.
     """
-    params = dict(spec.rotor_params)
+    field = SYSTEMS[spec.system].params_field
+    params = dict(getattr(spec, field)) if field else None
     if not params:
-        return None
-    unknown = set(params) - {f.name for f in dataclasses.fields(RotorConfig)}
+        return {}
+    keyword, config_class = SYSTEM_CONFIGS[field]
+    known = {f.name for f in dataclasses.fields(config_class)}
+    unknown = set(params) - known
     if unknown:
-        raise ValueError(f"unknown rotor_params key(s): {sorted(unknown)}")
-    return RotorConfig(**params)
-
-
-def resolve_adaptive(spec: RunSpec) -> AdaptiveConfig | None:
-    """The adaptive configuration a spec's ``adaptive_params`` describe.
-
-    Keys map to :class:`~repro.sim.config.AdaptiveConfig` fields.  Returns
-    None (engine defaults) when the spec has no overrides.
-    """
-    params = dict(spec.adaptive_params)
-    if not params:
-        return None
-    unknown = set(params) - {
-        f.name for f in dataclasses.fields(AdaptiveConfig)
-    }
-    if unknown:
-        raise ValueError(f"unknown adaptive_params key(s): {sorted(unknown)}")
-    return AdaptiveConfig(**params)
+        raise ValueError(f"unknown {field} key(s): {sorted(unknown)}")
+    return {keyword: config_class(**params)}
 
 
 def resolve_failures(
@@ -426,22 +421,12 @@ def _collect_incast_mix_stats(artifacts, spec, scale, params) -> dict:
 # ---------------------------------------------------------------------------
 
 
-INSTRUMENT_KEYS = {
-    "bandwidth_bin_ns",
-    "pair_bandwidth",
-    "match_ratio",
-    "margin_ns",
-}
-"""Valid ``instrument`` keys: recorder attachments plus measurement knobs
-(``margin_ns``) that collectors read back from the spec."""
-
-
 def execute_spec(spec: RunSpec) -> RunSummary:
     """Run one spec to completion and return its summary.
 
-    Delegates the actual run to the experiments' reference helpers
-    (``run_negotiator``/``run_oblivious``/``run_rotor``/``run_relay``), so
-    sweep results can never diverge from a directly-run experiment.
+    Delegates the actual run to the experiments' reference helper for the
+    spec's system (``run_<system>`` in :mod:`repro.experiments.common`),
+    so sweep results can never diverge from a directly-run experiment.
     Module-level (and argument-picklable) so a process pool can ship it to
     workers unchanged.
 
@@ -461,28 +446,6 @@ def execute_spec(spec: RunSpec) -> RunSummary:
                 f"unknown collect metric {name!r}; "
                 f"choose from {sorted(COLLECTORS)}"
             )
-    instrument = dict(spec.instrument)
-    unknown = set(instrument) - INSTRUMENT_KEYS
-    if unknown:
-        raise ValueError(
-            f"unknown instrument key(s): {sorted(unknown)}; "
-            f"choose from {sorted(INSTRUMENT_KEYS)}"
-        )
-    if spec.stream:
-        # Collectors and instrumentation read retained per-flow state,
-        # which the bounded-memory tracker evicts by design.
-        if spec.collect:
-            raise ValueError(
-                "streaming specs compute headline summaries only; "
-                f"drop collect={sorted(spec.collect)} or run materialized"
-            )
-        if instrument:
-            raise ValueError(
-                "instrumentation is not supported with stream=True; "
-                f"drop instrument key(s) {sorted(instrument)}"
-            )
-        if spec.system == "relay":
-            raise ValueError("the relay system does not support stream=True")
 
     flows = (
         scenarios.build_workload_iter(spec, scale, params)
@@ -498,135 +461,34 @@ def execute_spec(spec: RunSpec) -> RunSummary:
         config = config.without_speedup()
     duration = spec.duration_ns if spec.duration_ns else scale.duration_ns
     failure_model, failure_plan = resolve_failures(spec, scale)
-
-    if spec.system != "negotiator":
-        if spec.scheduler != "base":
-            raise ValueError(
-                "scheduler variants apply to the negotiator system only"
-            )
-        if failure_model is not None and spec.system not in (
-            "rotor",
-            "adaptive",
-        ):
-            raise ValueError(
-                "failure plans apply to the negotiator, rotor, and "
-                "adaptive systems only"
-            )
-        if instrument.get("pair_bandwidth") or instrument.get("match_ratio"):
-            raise ValueError(
-                "pair_bandwidth/match_ratio instrumentation applies to the "
-                "negotiator system only"
-            )
-    if spec.rotor_params and spec.system != "rotor":
-        raise ValueError("rotor_params apply to the rotor system only")
-    if spec.adaptive_params and spec.system != "adaptive":
-        raise ValueError("adaptive_params apply to the adaptive system only")
-
-    if spec.system == "oblivious":
-        if spec.scheduler_params:
-            raise ValueError(
-                "scheduler variants apply to the negotiator system only"
-            )
-        artifacts = run_oblivious(
-            scale,
-            spec.topology,
-            flows,
-            duration_ns=duration,
-            config=config,
-            bandwidth_bin_ns=instrument.get("bandwidth_bin_ns"),
-            until_complete=spec.until_complete,
-            max_ns=spec.max_ns,
-            stream=spec.stream,
-            tracer=tracer,
-        )
-    elif spec.system == "rotor":
-        if spec.scheduler_params:
-            raise ValueError(
-                "scheduler variants apply to the negotiator system only"
-            )
-        artifacts = run_rotor(
-            scale,
-            spec.topology,
-            flows,
-            duration_ns=duration,
-            config=config,
-            rotor=resolve_rotor(spec),
-            bandwidth_bin_ns=instrument.get("bandwidth_bin_ns"),
-            failure_model=failure_model,
-            failure_plan=failure_plan,
-            until_complete=spec.until_complete,
-            max_ns=spec.max_ns,
-            stream=spec.stream,
-            tracer=tracer,
-        )
-    elif spec.system == "adaptive":
-        if spec.scheduler_params:
-            raise ValueError(
-                "scheduler variants apply to the negotiator system only"
-            )
-        artifacts = run_adaptive(
-            scale,
-            spec.topology,
-            flows,
-            duration_ns=duration,
-            config=config,
-            adaptive=resolve_adaptive(spec),
-            bandwidth_bin_ns=instrument.get("bandwidth_bin_ns"),
-            failure_model=failure_model,
-            failure_plan=failure_plan,
-            until_complete=spec.until_complete,
-            max_ns=spec.max_ns,
-            stream=spec.stream,
-            tracer=tracer,
-        )
-    elif spec.system == "relay":
-        from ..core.relay import RelayPolicy
-
-        if spec.topology != "thinclos":
-            raise ValueError("the relay system runs on thin-clos only")
-        if instrument.get("bandwidth_bin_ns") is not None:
-            raise ValueError("the relay system supports no instrumentation")
-        policy = (
-            RelayPolicy(**dict(spec.scheduler_params))
-            if spec.scheduler_params
-            else None
-        )
-        artifacts = run_relay(
-            scale,
-            flows,
-            duration_ns=duration,
-            config=config,
-            relay_policy=policy,
-            until_complete=spec.until_complete,
-            max_ns=spec.max_ns,
-            tracer=tracer,
-        )
-    elif spec.system == "negotiator":
-        artifacts = run_negotiator(
-            scale,
-            spec.topology,
-            flows,
-            duration_ns=duration,
-            config=config,
-            scheduler_name=spec.scheduler,
-            scheduler_kwargs=dict(spec.scheduler_params),
-            record_match_ratio=bool(instrument.get("match_ratio")),
-            bandwidth_bin_ns=instrument.get("bandwidth_bin_ns"),
-            record_pair_bandwidth=bool(instrument.get("pair_bandwidth")),
-            failure_model=failure_model,
-            failure_plan=failure_plan,
-            until_complete=spec.until_complete,
-            max_ns=spec.max_ns,
-            stream=spec.stream,
-            tracer=tracer,
-        )
-    else:
-        # RunSpec validation makes this unreachable, but the dispatch is
-        # kept exhaustive so a registry/dispatch drift fails loudly with
-        # the same message shape as every other entry point.
-        raise ValueError(
-            unknown_name_message("system", [spec.system], SYSTEMS)
-        )
+    instrument = dict(spec.instrument)
+    # Building the spec already rejected every option its system lacks
+    # (the system table in repro.sweep.spec), so the options a spec sets
+    # are exactly the ones its run helper accepts.
+    options = {
+        "bandwidth_bin_ns": instrument.get("bandwidth_bin_ns"),
+        "record_match_ratio": bool(instrument.get("match_ratio")),
+        "record_pair_bandwidth": bool(instrument.get("pair_bandwidth")),
+        "failure_model": failure_model,
+        "failure_plan": failure_plan,
+        "scheduler_name": spec.scheduler if spec.scheduler != "base" else None,
+        "scheduler_kwargs": dict(spec.scheduler_params),
+        "stream": spec.stream,
+        **resolve_system_params(spec),
+    }
+    # Looked up by name at call time so wrappers patched onto this module's
+    # ``run_*`` attributes (perfbench's layer spans) see every call.
+    artifacts = globals()[f"run_{spec.system}"](
+        scale,
+        spec.topology,
+        flows,
+        duration_ns=duration,
+        config=config,
+        until_complete=spec.until_complete,
+        max_ns=spec.max_ns,
+        tracer=tracer,
+        **{key: value for key, value in options.items() if value},
+    )
 
     summary = artifacts.summary
     # Which core actually ran is observability, not spec content: it

@@ -56,17 +56,94 @@ PARAM_FIELDS = (
 )
 """RunSpec fields holding frozen key/value parameter tuples."""
 
-SYSTEMS = ("adaptive", "negotiator", "oblivious", "relay", "rotor")
-TOPOLOGIES = ("parallel", "thinclos")
+TOPOLOGIES = {"parallel": "parallel", "thinclos": "thin-clos"}
+"""Fabric names a spec accepts, mapped to their prose names."""
+
+INSTRUMENT_KEYS = frozenset(
+    {"bandwidth_bin_ns", "pair_bandwidth", "match_ratio", "margin_ns"}
+)
+"""Valid ``instrument`` keys: recorder attachments plus measurement knobs
+(``margin_ns``) that collectors read back from the spec."""
+
+INSTRUMENT_FLAGS = frozenset({"pair_bandwidth", "match_ratio"})
+"""Instrument keys that are on/off switches (set when truthy); the others
+hold a value (set when not None)."""
+
+
+@dataclass(frozen=True)
+class System:
+    """What one system supports: the single home of those capabilities.
+
+    ``topologies`` are the fabrics a spec may pair it with; ``home`` is the
+    one experiments and sweeps run it on (None: the fabric is a free axis,
+    as NegotiaToR's curves are labelled by it).  ``instrument`` holds the
+    instrument keys it may set, ``params_field`` its own parameter field
+    and ``spec_version`` the schema that introduced it.
+    """
+
+    topologies: tuple[str, ...] = tuple(TOPOLOGIES)
+    home: str | None = "thinclos"
+    failures: bool = False
+    stream: bool = True
+    instrument: frozenset[str] = frozenset({"bandwidth_bin_ns", "margin_ns"})
+    scheduler_variants: bool = False
+    scheduler_params: bool = False
+    params_field: str | None = None
+    spec_version: int = 2
+
+
+SYSTEMS: dict[str, System] = {
+    "negotiator": System(
+        home=None,
+        failures=True,
+        instrument=INSTRUMENT_KEYS,
+        scheduler_variants=True,
+        scheduler_params=True,
+    ),
+    "oblivious": System(),
+    "rotor": System(
+        failures=True, params_field="rotor_params", spec_version=3
+    ),
+    "adaptive": System(
+        failures=True, params_field="adaptive_params", spec_version=5
+    ),
+    # The selective-relay variant of appendix A.2.2 reads
+    # ``scheduler_params`` as RelayPolicy overrides.
+    "relay": System(
+        ("thinclos",),
+        stream=False,
+        instrument=frozenset({"margin_ns"}),
+        scheduler_params=True,
+    ),
+}
+"""The system table: every system a spec may name, and what it supports.
+
+:class:`RunSpec` validates against it at construction, the runner
+dispatches on its keys (``run_<system>``) and the CLI lists them."""
+
+PARAM_OWNERS = {
+    system.params_field: name
+    for name, system in SYSTEMS.items()
+    if system.params_field
+}
+"""System parameter field -> the one system that accepts it."""
+
+
+def _supporting(capability: str) -> str:
+    """The systems with one table capability, for error messages."""
+    return ", ".join(
+        name for name, system in SYSTEMS.items() if getattr(system, capability)
+    )
 
 
 def unknown_name_message(kind: str, names, registry) -> str:
     """The one diagnostic shape for names missing from a registry.
 
-    Every ``system=``/``engine=`` validation site — spec construction,
-    spec execution, the CLI's argument rejection, the scale bench — goes
-    through this helper, so the message can never drift between entry
-    points (the regression in tests/test_cli_and_analysis.py pins it).
+    Every ``system=``/``topology=``/``engine=`` validation site — spec
+    construction, topology building, the CLI's argument rejection, the
+    scale bench — goes through this helper, so the message can never
+    drift between entry points (the regression in
+    tests/test_cli_and_analysis.py pins it).
     """
     return (
         f"unknown {kind}(s): {', '.join(names)} "
@@ -91,14 +168,16 @@ def system_spec_fields(kind: str) -> dict:
     """Map an experiment "system" label to RunSpec system/topology fields.
 
     Experiments label their curves ``parallel``/``thinclos`` (NegotiaToR on
-    that fabric), ``oblivious``, ``rotor``, ``adaptive``, or ``relay`` —
-    and the oblivious, rotor, and adaptive baselines and the
-    selective-relay variant always run on thin-clos, whose AWGR structure
-    their schemes need.  This helper is that invariant's single home.
+    that fabric) or by a baseline's system name, which runs on its
+    :attr:`System.home` fabric.
     """
-    if kind in ("adaptive", "oblivious", "relay", "rotor"):
-        return {"system": kind, "topology": "thinclos"}
-    return {"system": "negotiator", "topology": kind}
+    if kind in TOPOLOGIES:
+        return {"system": "negotiator", "topology": kind}
+    system = SYSTEMS.get(kind)
+    if system is None or system.home is None:
+        labels = [*TOPOLOGIES, *(n for n, s in SYSTEMS.items() if s.home)]
+        raise ValueError(unknown_name_message("system label", [kind], labels))
+    return {"system": kind, "topology": system.home}
 
 
 @dataclass(frozen=True)
@@ -124,8 +203,8 @@ class RunSpec:
     and ``reconfiguration_delay_ns`` (the Fig 8 guardband stretch).
 
     ``failure_params`` declares a link-failure plan (``plan`` is ``random``
-    or ``egress-ports`` plus that plan's arguments; negotiator and rotor
-    systems).
+    or ``egress-ports`` plus that plan's arguments; negotiator, rotor and
+    adaptive systems).
 
     ``stream=True`` runs the spec through the streaming path (DESIGN.md
     §11): the workload is generated lazily and the tracker evicts completed
@@ -154,6 +233,11 @@ class RunSpec:
     The ``relay`` system is the selective-relay variant of appendix A.2.2;
     it runs on thin-clos and interprets ``scheduler_params`` as
     :class:`~repro.core.relay.RelayPolicy` overrides.
+
+    Construction checks every field against :data:`SYSTEMS`, so a spec
+    asking a system for something it does not support (failures on
+    oblivious, streaming on relay, scheduler variants off negotiator, ...)
+    raises ValueError here, before it reaches a dry run or a worker.
     """
 
     scale: str
@@ -186,7 +270,7 @@ class RunSpec:
             )
         if self.topology not in TOPOLOGIES:
             raise ValueError(
-                f"unknown topology {self.topology!r}; choose from {TOPOLOGIES}"
+                unknown_name_message("topology", [self.topology], TOPOLOGIES)
             )
         # NaN fails every comparison and inf never finishes a run, so both
         # are rejected here rather than deep inside an engine or a worker.
@@ -203,6 +287,74 @@ class RunSpec:
                     self, name, freeze_params(getattr(self, name))
                 )
         object.__setattr__(self, "collect", tuple(self.collect))
+        self._check_capabilities(SYSTEMS[self.system])
+
+    def _check_capabilities(self, system: System) -> None:
+        """Reject fields the system table says ``system`` cannot run.
+
+        Table lookups and field reads only: this runs on every spec built.
+        """
+        instrument = self.instrument
+        if instrument:
+            unknown = {key for key, _ in instrument} - INSTRUMENT_KEYS
+            if unknown:
+                raise ValueError(
+                    f"unknown instrument key(s): {sorted(unknown)}; "
+                    f"choose from {sorted(INSTRUMENT_KEYS)}"
+                )
+        if self.stream:
+            # Collectors and instrumentation read retained per-flow state,
+            # which the bounded-memory tracker evicts by design.
+            if self.collect:
+                raise ValueError(
+                    "streaming specs compute headline summaries only; "
+                    f"drop collect={sorted(self.collect)} or run materialized"
+                )
+            if instrument:
+                keys = sorted(key for key, _ in instrument)
+                raise ValueError(
+                    "instrumentation is not supported with stream=True; "
+                    f"drop instrument key(s) {keys}"
+                )
+            if not system.stream:
+                raise ValueError(
+                    f"the {self.system} system does not support stream=True"
+                )
+        if self.topology not in system.topologies:
+            fabrics = " or ".join(TOPOLOGIES[t] for t in system.topologies)
+            raise ValueError(
+                f"the {self.system} system runs on {fabrics} only"
+            )
+        if self.scheduler != "base" and not system.scheduler_variants:
+            raise ValueError(
+                "scheduler variants apply to the "
+                f"{_supporting('scheduler_variants')} system only"
+            )
+        if self.scheduler_params and not system.scheduler_params:
+            raise ValueError(
+                "scheduler_params apply to the "
+                f"{_supporting('scheduler_params')} systems only"
+            )
+        if self.failure_params and not system.failures:
+            raise ValueError(
+                f"failure plans apply to the {_supporting('failures')} "
+                "systems only"
+            )
+        if instrument:
+            unsupported = sorted(
+                key
+                for key, value in instrument
+                if key not in system.instrument
+                and (value if key in INSTRUMENT_FLAGS else value is not None)
+            )
+            if unsupported:
+                raise ValueError(
+                    f"the {self.system} system does not support instrument "
+                    f"key(s) {unsupported}"
+                )
+        for field, owner in PARAM_OWNERS.items():
+            if getattr(self, field) and field != system.params_field:
+                raise ValueError(f"{field} apply to the {owner} system only")
 
     # ------------------------------------------------------------------
     # serialization and hashing
@@ -240,12 +392,9 @@ class RunSpec:
         }
         if self.stream:
             payload["stream"] = True
-        if self.rotor_params:
-            payload["rotor_params"] = [list(kv) for kv in self.rotor_params]
-        if self.adaptive_params:
-            payload["adaptive_params"] = [
-                list(kv) for kv in self.adaptive_params
-            ]
+        for name in PARAM_OWNERS:
+            if getattr(self, name):
+                payload[name] = [list(kv) for kv in getattr(self, name)]
         return payload
 
     @classmethod
@@ -268,15 +417,12 @@ class RunSpec:
         """The oldest schema version able to express this spec.
 
         This — not :data:`SPEC_VERSION` — is what enters the canonical
-        JSON: a spec hashes under the schema that introduced the newest
-        feature it actually uses, so adding schema versions never moves
+        JSON: a spec hashes under the schema that introduced its system
+        (the table's ``spec_version``; a system's own params field can
+        only appear on that system), so adding schema versions never moves
         the hashes of specs that predate them.
         """
-        if self.system == "adaptive" or self.adaptive_params:
-            return 5
-        if self.system == "rotor" or self.rotor_params:
-            return 3
-        return 2
+        return SYSTEMS[self.system].spec_version
 
     def canonical_json(self) -> str:
         """The byte-stable JSON form the content hash is taken over."""

@@ -146,7 +146,8 @@ class TestCLI:
 
     def test_spec_and_cli_unknown_system_messages_match(self):
         """The spec layer and the CLI reject unknown systems identically."""
-        from repro.sweep.spec import SYSTEMS, unknown_name_message
+        from repro.experiments.common import TINY, make_topology
+        from repro.sweep.spec import SYSTEMS, TOPOLOGIES, unknown_name_message
 
         with pytest.raises(ValueError) as excinfo:
             RunSpec(scale="tiny", system="torus")
@@ -154,6 +155,36 @@ class TestCLI:
             "system", ["torus"], SYSTEMS
         )
         assert "adaptive" in str(excinfo.value)
+        # Topologies share the shape, at the spec and at the fabric builder.
+        expected = unknown_name_message("topology", ["torus"], TOPOLOGIES)
+        with pytest.raises(ValueError) as excinfo:
+            RunSpec(scale="tiny", topology="torus")
+        assert str(excinfo.value) == expected
+        with pytest.raises(ValueError) as excinfo:
+            make_topology(TINY, "torus")
+        assert str(excinfo.value) == expected
+
+    @pytest.mark.parametrize("command", [["sweep"], ["campaign", "run"]])
+    def test_dry_run_rejects_unsupported_system_features(
+        self, command, tmp_path, capsys
+    ):
+        """A grid pairing a system with a feature it lacks fails the dry
+        run (exit 2) instead of failing later inside a worker."""
+        argv = [
+            *command,
+            "--scale", "micro",
+            "--system", "negotiator",
+            "--system", "oblivious",
+            "--scheduler", "iterative",
+            "--load", "0.5",
+            "--dry-run",
+        ]
+        if command[0] == "campaign":
+            argv += ["--store", str(tmp_path / "c.jsonl")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "scheduler variants apply to the negotiator" in captured.err
+        assert "specs" not in captured.out
 
     def test_run_fast_experiment(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")

@@ -313,6 +313,89 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=message):
             tiny_spec(until_complete=True, **{field: value})
 
+    FAILURE = {"plan": "egress-ports", "ports": 1}
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(system="oblivious", failure_params=FAILURE), "failure plans"),
+            (dict(system="relay", failure_params=FAILURE), "failure plans"),
+            (dict(system="relay", stream=True), "stream=True"),
+            (dict(stream=True, collect=("mice_cdf",)), "headline summaries"),
+            (
+                dict(stream=True, instrument={"margin_ns": 1.0}),
+                "instrumentation",
+            ),
+            (dict(system="relay", topology="parallel"), "thin-clos only"),
+            (
+                dict(system="relay", instrument={"bandwidth_bin_ns": 1e3}),
+                "bandwidth_bin_ns",
+            ),
+            (
+                dict(system="rotor", instrument={"pair_bandwidth": True}),
+                "pair_bandwidth",
+            ),
+            (
+                dict(system="oblivious", instrument={"match_ratio": True}),
+                "match_ratio",
+            ),
+            (dict(instrument={"telescope": True}), "unknown instrument key"),
+            (dict(system="oblivious", scheduler="stateful"), "negotiator"),
+            (dict(system="rotor", scheduler="stateful"), "negotiator"),
+            (dict(system="adaptive", scheduler="stateful"), "negotiator"),
+            (
+                dict(system="oblivious", scheduler_params={"x": 1}),
+                "scheduler_params",
+            ),
+            (
+                dict(system="rotor", scheduler_params={"x": 1}),
+                "scheduler_params",
+            ),
+            (
+                dict(system="adaptive", scheduler_params={"x": 1}),
+                "scheduler_params",
+            ),
+            (dict(rotor_params={"vlb_relay": False}), "rotor system only"),
+            (
+                dict(system="rotor", adaptive_params={"ewma_alpha": 0.5}),
+                "adaptive system only",
+            ),
+        ],
+        ids=[
+            "failures-oblivious", "failures-relay", "stream-relay",
+            "stream-collect", "stream-instrument", "relay-parallel",
+            "relay-bandwidth", "pair-bandwidth-rotor", "match-ratio-oblivious",
+            "unknown-instrument", "variant-oblivious", "variant-rotor",
+            "variant-adaptive", "scheduler-params-oblivious",
+            "scheduler-params-rotor", "scheduler-params-adaptive",
+            "rotor-params-negotiator", "adaptive-params-rotor",
+        ],
+    )
+    def test_system_table_rejects_at_construction(self, fields, message):
+        """Every system/feature pair the system table rules out fails in
+        RunSpec itself, so a dry run can never approve it."""
+        fields = {"topology": "thinclos", **fields}
+        with pytest.raises(ValueError, match=message):
+            tiny_spec(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(system="oblivious", topology="parallel"),
+            dict(system="rotor", topology="parallel"),
+            dict(system="adaptive", topology="parallel"),
+            dict(system="relay", instrument={"margin_ns": 1000.0}),
+            dict(system="relay", instrument={"pair_bandwidth": False}),
+        ],
+        ids=["oblivious-parallel", "rotor-parallel", "adaptive-parallel",
+             "relay-margin", "relay-pair-bandwidth-off"],
+    )
+    def test_system_table_accepts_edge_cases(self, fields):
+        """Pairs the runner has always accepted still build and run."""
+        fields = {"topology": "thinclos", **fields}
+        summary = execute_spec(tiny_spec(duration_ns=SHORT_NS / 5, **fields))
+        assert summary.num_flows > 0
+
     def test_zero_max_ns_is_not_replaced_by_default_cutoff(self):
         from repro.experiments.common import run_negotiator, workload_for
 
@@ -363,11 +446,12 @@ class TestExecuteSpec:
             execute_spec(tiny_spec(collect=("nope",)))
 
     def test_oblivious_rejects_scheduler_variants(self):
-        spec = tiny_spec(
-            system="oblivious", topology="thinclos", scheduler="stateful"
-        )
         with pytest.raises(ValueError, match="negotiator"):
-            execute_spec(spec)
+            execute_spec(
+                tiny_spec(
+                    system="oblivious", topology="thinclos", scheduler="stateful"
+                )
+            )
 
     def test_scheduler_variant_runs(self):
         summary = execute_spec(tiny_spec(scheduler="data-size"))
@@ -542,13 +626,14 @@ class TestExecuteSpec:
             execute_spec(tiny_spec(instrument={"telescope": True}))
 
     def test_failures_rejected_on_oblivious(self):
-        spec = tiny_spec(
-            system="oblivious",
-            topology="thinclos",
-            failure_params={"plan": "egress-ports", "ports": 1},
-        )
         with pytest.raises(ValueError, match="negotiator"):
-            execute_spec(spec)
+            execute_spec(
+                tiny_spec(
+                    system="oblivious",
+                    topology="thinclos",
+                    failure_params={"plan": "egress-ports", "ports": 1},
+                )
+            )
 
     def test_failure_spec_degrades_goodput(self):
         healthy = execute_spec(tiny_spec(load=1.0))
